@@ -324,6 +324,70 @@ let test_dh_agreement () =
   Alcotest.check_raises "degenerate share" (Invalid_argument "Dh.shared: peer share out of range")
     (fun () -> ignore (Dh.shared sec_a Bignum.Nat.one))
 
+(* Known answers captured from the square-and-multiply implementation:
+   any change to the arithmetic core must reproduce them bit for bit. *)
+
+let test_default_group_kat () =
+  let params = Dsa.default_params () in
+  let hex = Bignum.Nat.to_hex in
+  Alcotest.(check string) "p"
+    "acd0bcf48e5bf8072c8921a7e75eac1606d66e59cee62305781092bb0fd172a6\
+     c4acbf277092d1b1d13e9363e91d158f69eb554fa4e621ca9dba4440dabcceff"
+    (hex params.Dsa.p);
+  Alcotest.(check string) "q" "d74251d8487795f77b04e17554f67f57872e70e9" (hex params.Dsa.q);
+  Alcotest.(check string) "g"
+    "4e2c428da42af560de9fca4dd0718a09dbc6b8180c73ba6007172229150dc167\
+     67ccab6aa37a6dc8b1cfc831bd93f6d596fb6c9df69f3515a52cb5c69d2052d9"
+    (hex params.Dsa.g)
+
+let test_dsa_kat () =
+  let hex = Bignum.Nat.to_hex in
+  let key = Dsa.generate_key (Drbg.create ~seed:"kat-dsa-key") in
+  Alcotest.(check string) "x" "ca32a694f5e4748baaa2b9a051b25d2af6a1e225" (hex key.Dsa.x);
+  Alcotest.(check string) "y"
+    "45c0344b6bdd889ca4c0a45cc870968c36f8646bc65578060b22d9c652da2ea4\
+     d5481e21e7dfc96532d24a2eafe216b73ec0c3586f3b574c5fa3f52985b735d3"
+    (hex key.Dsa.pub.Dsa.y);
+  let signature = Dsa.sign ~key (Drbg.create ~seed:"kat-dsa-nonce") "kat message" in
+  Alcotest.(check string) "r" "84472d462d8d8a64213ad97e98f5c6a91bd7ac56" (hex signature.Dsa.r);
+  Alcotest.(check string) "s" "bb9c66ade4978260d7249b646a5a0da2aa29e5dd" (hex signature.Dsa.s);
+  Alcotest.(check bool) "verifies" true (Dsa.verify ~key:key.Dsa.pub "kat message" signature)
+
+let test_dh_kat () =
+  let hex = Bignum.Nat.to_hex in
+  let drbg = Drbg.create ~seed:"kat-dh" in
+  let sec_a, share_a = Dh.gen drbg in
+  let sec_b, share_b = Dh.gen drbg in
+  Alcotest.(check string) "share a"
+    "611f03f00afbffd4bc65b21c115fe4f8870b444f3e79f49d5b7777881f938502\
+     2cb5152f85a95b9ddd103f6cea9cfffa9089dfc6b57987312777378f76339f85"
+    (hex share_a);
+  Alcotest.(check string) "share b"
+    "8703f0e0c2ccdc73fd06d0fc1784ddf7eab302bd0641678167fd85c31fdb55b1\
+     20d7ade53aeccf70db29914e0050c6fd00a571256ee3ae17b47047dc30ad2fa7"
+    (hex share_b);
+  let shared = "c4236be9d054411b993a614462d1d1215ce82ff1b0bb668aeaddf95ca7d9d599" in
+  check_hex "shared a" shared (Dh.shared sec_a share_b);
+  check_hex "shared b" shared (Dh.shared sec_b share_a)
+
+let test_ike_kat () =
+  let clock = Simnet.Clock.create () in
+  let stats = Simnet.Stats.create () in
+  let link = Simnet.Link.create ~clock ~cost:Simnet.Cost.default ~stats in
+  let drbg = Drbg.create ~seed:"kat-ike" in
+  let initiator = Dsa.generate_key drbg in
+  let responder = Dsa.generate_key drbg in
+  let c, s = Ipsec.Ike.establish ~link ~drbg ~initiator ~responder () in
+  let sa_id sa =
+    Printf.sprintf "%d:%s" (Ipsec.Sa.spi sa)
+      (Hexcodec.encode (Dcrypto.Secret.reveal (Ipsec.Sa.key sa)))
+  in
+  let keys =
+    String.concat "|" (List.map sa_id Ipsec.Ike.[ c.tx; c.rx; s.tx; s.rx ])
+  in
+  Alcotest.(check string) "sa keys digest"
+    "d99b65ef6ed32c2d350155175116a4e577c03d015b53db37849397d0a3b105f5" (Sha256.hex keys)
+
 let prop_chacha_involutive =
   QCheck.Test.make ~name:"chacha crypt . crypt = id" ~count:50
     (QCheck.make QCheck.Gen.(string_size (int_range 0 300)))
@@ -372,6 +436,10 @@ let suite =
     Alcotest.test_case "dsa tampered signature" `Quick test_dsa_tampered_sig;
     Alcotest.test_case "dsa fingerprint" `Quick test_dsa_fingerprint;
     Alcotest.test_case "dh agreement" `Quick test_dh_agreement;
+    Alcotest.test_case "default group kat" `Quick test_default_group_kat;
+    Alcotest.test_case "dsa keygen/sign kat" `Quick test_dsa_kat;
+    Alcotest.test_case "dh gen/shared kat" `Quick test_dh_kat;
+    Alcotest.test_case "ike handshake kat" `Quick test_ike_kat;
     Alcotest.test_case "des fips vector" `Quick test_des_vector;
     Alcotest.test_case "3des degenerate = des" `Quick test_3des_degenerate;
     Alcotest.test_case "3des cbc" `Quick test_3des_cbc;
