@@ -1607,10 +1607,26 @@ let micro_tests () =
   let link = d.Discfs.Deploy.link in
   let ike_drbg = Dcrypto.Drbg.create ~seed:"micro-ike" in
   let responder = Dcrypto.Dsa.generate_key ike_drbg in
+  (* Exponentiation in the default group: a 160-bit exponent on a
+     variable base (the per-call Montgomery path) and on the group
+     generator (the cached comb table), then the two DH halves. *)
+  let params = key.Dcrypto.Dsa.pub.Dcrypto.Dsa.params in
+  let exp160 = Bignum.Nat.of_bytes_be (Dcrypto.Drbg.bytes drbg 20) in
+  let dh_secret, dh_share = Dcrypto.Dh.gen drbg in
   let open Bechamel in
   [
     Test.make ~name:"micro/sha1-8k" (Staged.stage (fun () ->
         ignore (Sys.opaque_identity (Dcrypto.Sha1.digest chunk))));
+    Test.make ~name:"micro/modexp-var-160" (Staged.stage (fun () ->
+        ignore
+          (Sys.opaque_identity
+             (Bignum.Modarith.pow ~m:params.Dcrypto.Dsa.p key.Dcrypto.Dsa.pub.Dcrypto.Dsa.y exp160))));
+    Test.make ~name:"micro/modexp-fixed-g" (Staged.stage (fun () ->
+        ignore (Sys.opaque_identity (Dcrypto.Dsa.pow_g params exp160))));
+    Test.make ~name:"micro/dh-gen" (Staged.stage (fun () ->
+        ignore (Sys.opaque_identity (Dcrypto.Dh.gen drbg))));
+    Test.make ~name:"micro/dh-shared" (Staged.stage (fun () ->
+        ignore (Sys.opaque_identity (Dcrypto.Dh.shared dh_secret dh_share))));
     Test.make ~name:"micro/dsa-sign" (Staged.stage (fun () ->
         ignore (Sys.opaque_identity (Dcrypto.Dsa.sign ~key drbg msg))));
     Test.make ~name:"micro/dsa-verify" (Staged.stage (fun () ->

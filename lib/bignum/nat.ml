@@ -247,29 +247,54 @@ let divmod (a : t) (b : t) : t * t =
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
-let of_bytes_be (s : string) : t =
-  let n = ref zero in
-  String.iter (fun c -> n := add (shift_left !n 8) (of_int (Char.code c))) s;
-  !n
+(* Byte and hex conversions pack fixed-width digits straight into
+   limbs, least significant digit first, so they are linear in the
+   length. *)
+
+let of_digits_be ~width ~digit (s : string) : t =
+  let len = String.length s in
+  let r = Array.make (((width * len) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and have = ref 0 and k = ref 0 in
+  for i = len - 1 downto 0 do
+    acc := !acc lor (digit s.[i] lsl !have);
+    have := !have + width;
+    if !have >= limb_bits then begin
+      r.(!k) <- !acc land limb_mask;
+      incr k;
+      acc := !acc lsr limb_bits;
+      have := !have - limb_bits
+    end
+  done;
+  if !have > 0 then r.(!k) <- !acc;
+  normalize r
+
+(* The [j]th [width]-bit digit of [a], counting from the least
+   significant; a digit may straddle two limbs. *)
+let digit_at (a : t) ~width j =
+  let bit = j * width in
+  let limb = bit / limb_bits and off = bit mod limb_bits in
+  let v = a.(limb) lsr off in
+  let v =
+    if off + width > limb_bits && limb + 1 < Array.length a then
+      v lor (a.(limb + 1) lsl (limb_bits - off))
+    else v
+  in
+  v land ((1 lsl width) - 1)
+
+let of_bytes_be (s : string) : t = of_digits_be ~width:8 ~digit:Char.code s
 
 let to_bytes_be ?len (a : t) : string =
   let nbytes = (num_bits a + 7) / 8 in
-  let nbytes = max nbytes 1 in
   let out_len = match len with
-    | None -> nbytes
+    | None -> max nbytes 1
     | Some l ->
-      if l < nbytes && not (is_zero a && l >= 0) then
+      if l < max nbytes 1 && not (is_zero a && l >= 0) then
         invalid_arg "Nat.to_bytes_be: length too small";
       l
   in
   let b = Bytes.make out_len '\000' in
-  let v = ref a in
-  let i = ref (out_len - 1) in
-  while not (is_zero !v) && !i >= 0 do
-    let q, r = divmod_small !v 256 in
-    Bytes.set b !i (Char.chr r);
-    v := q;
-    decr i
+  for j = 0 to nbytes - 1 do
+    Bytes.set b (out_len - 1 - j) (Char.chr (digit_at a ~width:8 j))
   done;
   Bytes.to_string b
 
@@ -282,23 +307,13 @@ let hex_digit c =
 
 let of_hex (s : string) : t =
   if String.length s = 0 then invalid_arg "Nat.of_hex: empty";
-  let n = ref zero in
-  String.iter (fun c -> n := add (shift_left !n 4) (of_int (hex_digit c))) s;
-  !n
+  of_digits_be ~width:4 ~digit:hex_digit s
 
 let to_hex (a : t) : string =
   if is_zero a then "0"
   else begin
-    let buf = Buffer.create 32 in
-    let rec go v =
-      if not (is_zero v) then begin
-        let q, r = divmod_small v 16 in
-        go q;
-        Buffer.add_char buf "0123456789abcdef".[r]
-      end
-    in
-    go a;
-    Buffer.contents buf
+    let n = (num_bits a + 3) / 4 in
+    String.init n (fun i -> "0123456789abcdef".[digit_at a ~width:4 (n - 1 - i)])
   end
 
 let of_decimal (s : string) : t =
@@ -329,3 +344,16 @@ let to_decimal (a : t) : string =
   end
 
 let pp fmt a = Format.pp_print_string fmt (to_decimal a)
+
+let to_limbs ~len (a : t) =
+  let la = Array.length a in
+  if la > len then invalid_arg "Nat.to_limbs: length too small";
+  let r = Array.make len 0 in
+  Array.blit a 0 r 0 la;
+  r
+
+let of_limbs (a : int array) : t =
+  Array.iter (fun l -> if l < 0 || l > limb_mask then invalid_arg "Nat.of_limbs: bad limb") a;
+  normalize (Array.copy a)
+
+let num_limbs (a : t) = Array.length a

@@ -57,7 +57,8 @@ val is_even : t -> bool
 val is_odd : t -> bool
 
 val of_bytes_be : string -> t
-(** Interpret a big-endian byte string as a natural number. *)
+(** Interpret a big-endian byte string as a natural number. Linear in
+    the length, as are the three conversions below. *)
 
 val to_bytes_be : ?len:int -> t -> string
 (** Big-endian byte string, minimal length unless [len] pads with
@@ -76,3 +77,22 @@ val to_decimal : t -> string
 
 val pp : Format.formatter -> t -> unit
 (** Prints the decimal representation. *)
+
+(** {2 Limb buffers}
+
+    The in-place kernels of {!Modarith} work on plain little-endian
+    limb arrays; these convert at their boundary. *)
+
+val limb_bits : int
+(** Bits per limb: 26. *)
+
+val num_limbs : t -> int
+
+val to_limbs : len:int -> t -> int array
+(** [to_limbs ~len n] is a fresh array of [len] limbs, zero-padded.
+    Raises [Invalid_argument] if [n] needs more than [len] limbs. *)
+
+val of_limbs : int array -> t
+(** [of_limbs a] reads a little-endian limb array into a fresh value;
+    [a] is neither retained nor mutated. Raises [Invalid_argument] if
+    a limb is outside [[0, 2^limb_bits)]. *)

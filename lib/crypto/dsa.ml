@@ -39,10 +39,42 @@ let default_params () =
     default_params_cache := Some params;
     params
 
+(* Per-group precomputation shared with Dh: the Montgomery context
+   for p and a comb table for g covering exponents below q. Keyed by
+   group value, so the fresh [params] records [pub_decode] builds
+   still hit. Entries are built once per process and never evicted;
+   only groups used for local keys, signatures and DH shares enter,
+   so foreign keys seen in [verify] cannot grow the list.
+   Determinism: an entry is a pure function of its group, so results
+   never depend on which caller built it. Races: simulated processes
+   are coroutines on one domain, and the lookup-or-insert below has no
+   yield point between the scan and the insert. *)
+type group = { of_params : params; ctx : Modarith.ctx; g_table : Modarith.fixed_base }
+
+let groups : group list ref = ref []
+
+let same_group a b = Nat.equal a.p b.p && Nat.equal a.q b.q && Nat.equal a.g b.g
+
+let find_group params = List.find_opt (fun gr -> same_group gr.of_params params) !groups
+
+let group params =
+  match find_group params with
+  | Some gr -> gr
+  | None ->
+    let ctx = Modarith.context params.p in
+    let gr =
+      { of_params = params; ctx; g_table = Modarith.fixed_base ctx params.g ~bits:(Nat.num_bits params.q) }
+    in
+    groups := gr :: !groups;
+    gr
+
+let pow_g params e = Modarith.pow_fixed (group params).g_table e
+let pow_p params b e = Modarith.pow_ctx (group params).ctx b e
+
 let generate_key ?params drbg =
   let params = match params with Some p -> p | None -> default_params () in
   let x = Nat.succ (Drbg.nat_below drbg (Nat.pred params.q)) in
-  let y = Modarith.pow ~m:params.p params.g x in
+  let y = pow_g params x in
   { pub = { params; y }; x }
 
 let hash_to_nat ~hash ~q msg =
@@ -54,11 +86,11 @@ let hash_to_nat ~hash ~q msg =
   if qb >= hbits then h else Nat.shift_right h (hbits - qb)
 
 let sign ?(hash = Sha1.digest) ~key drbg msg =
-  let { p; q; g } = key.pub.params in
+  let q = key.pub.params.q in
   let z = hash_to_nat ~hash ~q msg in
   let rec attempt () =
     let k = Nat.succ (Drbg.nat_below drbg (Nat.pred q)) in
-    let r = Nat.rem (Modarith.pow ~m:p g k) q in
+    let r = Nat.rem (pow_g key.pub.params k) q in
     if Nat.is_zero r then attempt ()
     else begin
       let kinv = Modarith.inv ~m:q k in
@@ -71,7 +103,8 @@ let sign ?(hash = Sha1.digest) ~key drbg msg =
 let verify ?(hash = Sha1.digest) ~key msg { r; s } =
   let { p; q; g } = key.params in
   let in_range v = not (Nat.is_zero v) && Nat.compare v q < 0 in
-  if not (in_range r && in_range s) then false
+  (* A prime p is odd; an even one can only come from a forged key. *)
+  if not (in_range r && in_range s) || Nat.is_even p then false
   else begin
     match Modarith.inv ~m:q s with
     | exception Not_found -> false
@@ -79,9 +112,10 @@ let verify ?(hash = Sha1.digest) ~key msg { r; s } =
       let z = hash_to_nat ~hash ~q msg in
       let u1 = Modarith.mul ~m:q z w in
       let u2 = Modarith.mul ~m:q r w in
-      let v =
-        Nat.rem (Modarith.mul ~m:p (Modarith.pow ~m:p g u1) (Modarith.pow ~m:p key.y u2)) q
+      let ctx =
+        match find_group key.params with Some gr -> gr.ctx | None -> Modarith.context p
       in
+      let v = Nat.rem (Modarith.pow2 ctx g u1 key.y u2) q in
       Nat.equal v r
   end
 

@@ -18,6 +18,16 @@ val default_params : unit -> params
     all example identities use this group (like a site-wide DSA group
     file). *)
 
+val pow_g : params -> Bignum.Nat.t -> Bignum.Nat.t
+(** [pow_g params e] is [g^e mod p] through the group's comb table.
+    The group's precomputation (Montgomery context for [p], comb
+    table for [g]) is built on first use and kept for the process;
+    groups are told apart by value, not by record identity. *)
+
+val pow_p : params -> Bignum.Nat.t -> Bignum.Nat.t -> Bignum.Nat.t
+(** [pow_p params b e] is [b^e mod p] through the group's Montgomery
+    context. *)
+
 val generate_key : ?params:params -> Drbg.t -> private_key
 (** Generate a key pair in the given group (default
     {!default_params}). *)
@@ -28,6 +38,9 @@ val sign : ?hash:(string -> string) -> key:private_key -> Drbg.t -> string -> si
     variant) with a DRBG-drawn nonce. *)
 
 val verify : ?hash:(string -> string) -> key:public -> string -> signature -> bool
+(** Computes [g^u1 * y^u2] in one two-base pass. A key whose group was
+    never used locally gets a throwaway Montgomery context rather than
+    a memo entry; a key with an even [p] never verifies. *)
 
 val pub_encode : public -> string
 (** Serialize to the credential wire form (binary; pair with
