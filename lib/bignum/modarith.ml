@@ -105,8 +105,7 @@ let mont_ring c =
   let t = Array.make c.n 0 in
   let mul a b dst = mont_mul c t a b dst in
   let enter x =
-    let x = if Nat.compare x c.m < 0 then x else Nat.rem x c.m in
-    let r = Nat.to_limbs ~len:c.n x in
+    let r = Nat.to_limbs ~len:c.n (Nat.rem x c.m) in
     mul r c.r2 r;
     r
   in
@@ -218,14 +217,13 @@ let pow ~m b e =
    as [w] rows of [d] bits, and [table.(j)] is the product of
    [g^(2^(i*d))] over the set bits [i] of [j]. One pass over the [d]
    columns then costs [d] squarings and at most [d] multiplications. *)
-type fixed_base = { fctx : ctx; g : Nat.t; w : int; d : int; table : int array array }
+type fixed_base = { fctx : ctx; g : Nat.t; d : int; table : int array array }
 
-let comb_rows = 8
+let w = 8
 
 let fixed_base c g ~bits =
   if bits < 1 then invalid_arg "Modarith.fixed_base: bits";
   let ring = mont_ring c in
-  let w = comb_rows in
   let d = (bits + w - 1) / w in
   let rows = Array.make w (ring.enter g) in
   for i = 1 to w - 1 do
@@ -234,23 +232,18 @@ let fixed_base c g ~bits =
     rows.(i) <- r
   done;
   let table = Array.make (1 lsl w) ring.one in
-  for j = 1 to (1 lsl w) - 1 do
-    let low = j land -j in
-    let i = ref 0 in
-    while 1 lsl !i <> low do incr i done;
-    let rest = j lxor low in
-    table.(j) <-
-      (if rest = 0 then rows.(!i)
-       else begin
-         let r = Array.make c.n 0 in
-         ring.mul table.(rest) rows.(!i) r;
-         r
-       end)
+  for i = 0 to w - 1 do
+    table.(1 lsl i) <- rows.(i);
+    for j = 1 to (1 lsl i) - 1 do
+      let r = Array.make c.n 0 in
+      ring.mul table.(j) rows.(i) r;
+      table.((1 lsl i) + j) <- r
+    done
   done;
-  { fctx = c; g; w; d; table }
+  { fctx = c; g; d; table }
 
 let pow_fixed f e =
-  if Nat.num_bits e > f.w * f.d then pow_ctx f.fctx f.g e
+  if Nat.num_bits e > w * f.d then pow_ctx f.fctx f.g e
   else begin
     let ring = mont_ring f.fctx in
     let acc = Array.copy ring.one in
@@ -258,7 +251,7 @@ let pow_fixed f e =
     for k = f.d - 1 downto 0 do
       if !started then ring.mul acc acc acc;
       let col = ref 0 in
-      for i = f.w - 1 downto 0 do
+      for i = w - 1 downto 0 do
         col := (!col lsl 1) lor Bool.to_int (Nat.bit e ((i * f.d) + k))
       done;
       if !col <> 0 then begin

@@ -58,7 +58,7 @@ val is_odd : t -> bool
 
 val of_bytes_be : string -> t
 (** Interpret a big-endian byte string as a natural number. Linear in
-    the length, as are the three conversions below. *)
+    the length, as are {!to_bytes_be}, {!of_hex} and {!to_hex}. *)
 
 val to_bytes_be : ?len:int -> t -> string
 (** Big-endian byte string, minimal length unless [len] pads with
