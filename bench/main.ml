@@ -34,6 +34,9 @@
                                                           perturbation equivalence + the
                                                           dynamic race-checker gates;
                                                           default BENCH_race_explore.json)
+          dune exec bench/main.exe -- credscale          (per-submission and per-cold-
+                                                          authorization CPU time at
+                                                          10^2..10^4 credentials)
           dune exec bench/main.exe -- trace              (JSONL span dump)
 *)
 
@@ -175,6 +178,98 @@ let chain_sweep () =
       let dt = (Sys.time () -. t0) /. float_of_int iterations in
       say "  %-6d %14.1f" n (dt *. 1e6))
     [ 1; 2; 4; 8; 12; 16 ]
+
+(* ------------------------------------------------------------------ *)
+(* Credential-store scaling: submission and cold authorization         *)
+(*                                                                     *)
+(* CPU time per credential submission (over RPC, through signature     *)
+(* check, store add and memo flush) and per cold authorization         *)
+(* (Server.query_level behind a flushed memo) as the store grows       *)
+(* through 10^2, 10^3 and 10^4 credentials. Crowd shape: one admin     *)
+(* credential per principal, scoped to a handle; both costs must stay  *)
+(* within 2x across the range. Ingest shape: every credential licenses *)
+(* the same principal, one handle each, so a cold check there visits   *)
+(* every credential and grows linearly by design (reported, no gate).  *)
+(* ------------------------------------------------------------------ *)
+
+let credscale () =
+  say "@.Credential-store scaling: CPU time per submission and per cold authorization";
+  let sizes = [ 100; 1_000; 10_000 ] in
+  let batch = 100 and checks = 200 in
+  say "  (submission: mean of the last %d submissions before each size; cold check:" batch;
+  say "   mean of %d memo-flushed Server.query_level calls at that size)" checks;
+  say "  %-8s %8s %14s %16s" "shape" "store" "submit (us)" "cold check (us)";
+  let run shape =
+    let d = Discfs.Deploy.make ~seed:("credscale-" ^ shape) () in
+    let admin = Discfs.Deploy.attach d ~identity:d.Discfs.Deploy.admin ~uid:0 () in
+    let server = d.Discfs.Deploy.server in
+    let root = (Discfs.Client.root admin).Nfs.Proto.ino in
+    let crowd = shape = "crowd" in
+    (* Crowd: a fresh key per credential, all scoped to the root
+       handle. Ingest: one licensee, credential k scoped to handle
+       root + k (only the first names a handle that exists). *)
+    let fresh_principal () =
+      Keynote.Assertion.principal_of_pub (Discfs.Deploy.new_identity d).Dcrypto.Dsa.pub
+    in
+    let licensee =
+      if crowd then fresh_principal
+      else
+        let p = fresh_principal () in
+        fun () -> p
+    in
+    let principals = ref [||] in
+    let grow_to n =
+      let fresh = Array.init (n - Array.length !principals) (fun _ -> licensee ()) in
+      let first = Array.length !principals in
+      principals := Array.append !principals fresh;
+      let spent = ref 0.0 in
+      Array.iteri
+        (fun j p ->
+          let k = first + j in
+          let handle = if crowd then root else root + k in
+          let cred =
+            Discfs.Deploy.admin_issue d
+              ~licensees:(Printf.sprintf "\"%s\"" p)
+              ~conditions:
+                (Printf.sprintf "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"RWX\";"
+                   handle)
+              ()
+          in
+          let t0 = Sys.time () in
+          (match Discfs.Client.submit_credential admin cred with
+          | Ok _ -> ()
+          | Error e -> failwith ("credscale: submission refused: " ^ e));
+          if k >= n - batch then spent := !spent +. (Sys.time () -. t0))
+        fresh;
+      !spent /. float_of_int batch
+    in
+    let cold n =
+      let cache = Discfs.Server.cache server in
+      let t0 = Sys.time () in
+      for i = 1 to checks do
+        let p = !principals.(i * 7919 mod n) in
+        Discfs.Policy_cache.flush cache;
+        if Discfs.Server.query_level server ~peer:p ~ino:root <> 7 then
+          failwith "credscale: cold check did not grant RWX"
+      done;
+      (Sys.time () -. t0) /. float_of_int checks
+    in
+    List.map
+      (fun n ->
+        let submit = grow_to n in
+        let check = cold n in
+        say "  %-8s %8d %14.1f %16.1f" shape n (submit *. 1e6) (check *. 1e6);
+        (submit, check))
+      sizes
+  in
+  let growth rows f = f (List.nth rows (List.length rows - 1)) /. f (List.hd rows) in
+  let crowd = run "crowd" in
+  let ingest = run "ingest" in
+  let s = growth crowd fst and c = growth crowd snd in
+  say "  crowd: 10^4 over 10^2: submit %.2fx, cold check %.2fx (within 2x: %s)" s c
+    (if s <= 2.0 && c <= 2.0 then "yes" else "NO");
+  say "  ingest: 10^4 over 10^2: submit %.2fx, cold check %.2fx (linear by design, no gate)"
+    (growth ingest fst) (growth ingest snd)
 
 (* ------------------------------------------------------------------ *)
 (* S1: scalability — DisCFS vs key-based ACLs (WebFS style)            *)
@@ -1773,6 +1868,10 @@ let () =
       find argv
     in
     race_explore ?json ~smoke:(has "--smoke") ~nseeds ();
+    say "@.done."
+  end
+  else if has "credscale" then begin
+    credscale ();
     say "@.done."
   end
   else if has "trace" then trace_dump ()

@@ -46,7 +46,7 @@ let metric t name =
    retires every entry the moment the credential set changes. *)
 let key ~peer ~attributes ~epoch =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf epoch;
+  Buffer.add_string buf (string_of_int epoch);
   Buffer.add_char buf '\000';
   Buffer.add_string buf peer;
   List.iter

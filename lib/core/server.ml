@@ -36,8 +36,9 @@ type t = {
   hour : unit -> int;
   strict_handles : bool;
   mutable revoked_keys : string list;
-  mutable cred_epoch : string; (* fingerprint of the credential set, part of memo keys *)
-  mutable audit : audit_entry list;
+  mutable cred_epoch : int; (* counts credential-set changes, part of memo keys *)
+  mutable audit : audit_entry list; (* newest first *)
+  mutable audit_len : int; (* List.length audit *)
   mutable audit_enabled : bool;
 }
 
@@ -69,18 +70,6 @@ let attributes t ~ino =
 
 let is_revoked t principal =
   List.exists (Keynote.Ast.principal_equal principal) t.revoked_keys
-
-(* The credential-set epoch: a fingerprint of every loaded credential
-   plus the revoked-key list. It is folded into each memo key, so a
-   credential change retires all cached compliance results at once —
-   old entries become unreachable and age out of the LRU. *)
-let compute_epoch t =
-  let fps =
-    List.sort compare
-      (List.map Assertion.fingerprint (Session.credentials t.session))
-  in
-  let revoked = List.sort compare t.revoked_keys in
-  Dcrypto.Sha1.hex (String.concat "\n" (fps @ ("--revoked--" :: revoked)))
 
 let query_level t ~peer ~ino =
   Trace.span (trace t) "policy.check" @@ fun () ->
@@ -117,8 +106,10 @@ let record t ~peer ~op ~ino ~level ~granted =
   if t.audit_enabled then begin
     (* Bound the in-memory trail; a production server would roll it
        to stable storage instead of truncating. *)
-    if List.length t.audit >= audit_cap then
+    if t.audit_len >= audit_cap then begin
       t.audit <- List.filteri (fun i _ -> i < audit_cap / 2) t.audit;
+      t.audit_len <- audit_cap / 2
+    end;
     t.audit <-
       {
         au_time = Clock.now (clock t);
@@ -128,7 +119,8 @@ let record t ~peer ~op ~ino ~level ~granted =
         au_value = List.nth values level;
         au_granted = granted;
       }
-      :: t.audit
+      :: t.audit;
+    t.audit_len <- t.audit_len + 1
   end
 
 (* Permission bits demanded by each NFS operation (r=4, w=2, x=1).
@@ -179,11 +171,12 @@ let present_attr t ~conn (attr : Proto.fattr) =
 
 (* --- credential management ------------------------------------------ *)
 
-(* Every credential-set change rotates the epoch (making old memo
-   keys unreachable) *and* flushes eagerly — revoked authority must
-   not survive even a hash collision. *)
+(* Every credential or revoked-key change bumps the epoch, a counter
+   folded into each memo key (making old keys unreachable), *and*
+   flushes eagerly — revoked authority must not survive even a hash
+   collision. *)
 let flush_after_change t =
-  t.cred_epoch <- compute_epoch t;
+  t.cred_epoch <- t.cred_epoch + 1;
   Policy_cache.flush t.cache
 
 let submit_credential t text =
@@ -229,8 +222,7 @@ let issue_create_credential t ~peer ~ino ~name =
   cred
 
 let revoke_credential t ~peer ~fingerprint =
-  let creds = Session.credentials t.session in
-  match List.find_opt (fun a -> Assertion.fingerprint a = fingerprint) creds with
+  match Session.find_credential t.session ~fingerprint with
   | None -> Error "no such credential"
   | Some a ->
     let authorizer = a.Assertion.authorizer in
@@ -250,12 +242,7 @@ let revoke_key t ~peer ~principal ~admin_principal =
   else begin
     t.revoked_keys <- principal :: t.revoked_keys;
     (* Purge credentials authored by the revoked key. *)
-    List.iter
-      (fun a ->
-        if Keynote.Ast.principal_equal a.Assertion.authorizer principal then
-          ignore
-            (Session.remove_credential t.session ~fingerprint:(Assertion.fingerprint a)))
-      (Session.credentials t.session);
+    ignore (Session.remove_authored_by t.session principal);
     flush_after_change t;
     Ok ()
   end
@@ -295,12 +282,12 @@ let create ~fs ~admin ~server_key ~drbg ?(cache_size = 128) ?(extra_policy = [])
       hour;
       strict_handles;
       revoked_keys = [];
-      cred_epoch = "";
+      cred_epoch = 0;
       audit = [];
+      audit_len = 0;
       audit_enabled;
     }
   in
-  t.cred_epoch <- compute_epoch t;
   Nfs.Server.set_hooks t.nfs
     {
       Nfs.Server.authorize = (fun ~conn ~fh ~op -> authorize t ~conn ~fh ~op);
@@ -399,7 +386,7 @@ let save_state t =
   List.iter (fun k -> Xdr.Enc.string e k) t.revoked_keys;
   (* The audit trail is part of stable state: a crash must not erase
      the record of what was granted before it. *)
-  Xdr.Enc.uint32 e (List.length t.audit);
+  Xdr.Enc.uint32 e t.audit_len;
   List.iter
     (fun a ->
       Xdr.Enc.uint64 e (Int64.bits_of_float a.au_time);
@@ -436,6 +423,7 @@ let load_state t data =
   | creds, revoked, audit ->
     t.revoked_keys <- revoked;
     t.audit <- audit;
+    t.audit_len <- List.length audit;
     let admitted = ref 0 in
     let failures = ref [] in
     List.iter

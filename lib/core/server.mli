@@ -11,10 +11,10 @@
       X < W < WX < R < RX < RW < RWX], is interpreted as the octal
       rwx bits (paper §5).
     - An LRU {!Policy_cache} memoises query results under a SHA-1 of
-      (peer, action attributes, credential-set epoch). The epoch
-      fingerprints the loaded credentials and the revoked-key list;
-      any credential change rotates it (retiring every memoised
-      level) and flushes the cache eagerly. Credentials are
+      (peer, action attributes, credential-set epoch). The epoch is
+      a counter bumped on every change to the credentials or the
+      revoked-key list (retiring every memoised level), and each such
+      change also flushes the cache eagerly. Credentials are
       DSA-verified once at submission.
     - The extra DisCFS RPC program provides credential submission,
       the create/mkdir variants that return a fresh credential to the

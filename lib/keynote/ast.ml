@@ -60,8 +60,12 @@ let is_key_principal p =
   | Some i -> i > 0 (* "alg:data" *)
   | None -> false
 
+(* Returns [p] itself when it is already canonical, so the indexes and
+   the evaluator share the assertion's own string instead of a copy. *)
 let normalize_principal p =
-  if is_key_principal p then String.lowercase_ascii p else p
+  if is_key_principal p && String.exists (fun c -> 'A' <= c && c <= 'Z') p then
+    String.lowercase_ascii p
+  else p
 
 let principal_equal a b = String.equal (normalize_principal a) (normalize_principal b)
 

@@ -58,7 +58,8 @@ val is_key_principal : principal -> bool
 
 val normalize_principal : principal -> principal
 (** Canonical form used for comparison: key principals lowercased,
-    opaque names unchanged. *)
+    opaque names unchanged. A principal already in canonical form is
+    returned as is, not copied. *)
 
 val principal_equal : principal -> principal -> bool
 

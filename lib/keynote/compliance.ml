@@ -15,7 +15,7 @@ let special_attributes q =
     ("_ACTION_AUTHORIZERS", String.concat "," q.requesters);
   ]
 
-let check ?(assume_verified = false) ~policy ~credentials q =
+let evaluate ~authored ~assertion ~fingerprint q =
   if q.values = [] then invalid_arg "Compliance.check: empty value set";
   let max_index = List.length q.values - 1 in
   let value_index v =
@@ -27,18 +27,6 @@ let check ?(assume_verified = false) ~policy ~credentials q =
   in
   let trace = ref [] in
   let note fmt = Printf.ksprintf (fun s -> trace := s :: !trace) fmt in
-  (* Index verified assertions by (normalized) authorizer. *)
-  let by_authorizer : (string, Assertion.t list) Hashtbl.t = Hashtbl.create 16 in
-  let add_assertion key a =
-    let key = Ast.normalize_principal key in
-    Hashtbl.replace by_authorizer key (a :: (try Hashtbl.find by_authorizer key with Not_found -> []))
-  in
-  List.iter (fun a -> add_assertion "POLICY" { a with Assertion.authorizer = "POLICY" }) policy;
-  List.iter
-    (fun a ->
-      if assume_verified || Assertion.verify a then add_assertion a.Assertion.authorizer a
-      else note "discarded credential %s: bad or missing signature" (Assertion.fingerprint a))
-    credentials;
   let requesters = List.map Ast.normalize_principal q.requesters in
   let specials = special_attributes q in
   let memo : (string, int) Hashtbl.t = Hashtbl.create 16 in
@@ -53,13 +41,13 @@ let check ?(assume_verified = false) ~policy ~credentials q =
         if Hashtbl.mem in_progress p then 0 (* delegation cycle: no additional authority *)
         else begin
           Hashtbl.replace in_progress p ();
-          let assertions = try Hashtbl.find by_authorizer p with Not_found -> [] in
-          let v = List.fold_left (fun acc a -> max acc (assertion_value a)) 0 assertions in
+          let v = List.fold_left (fun acc e -> max acc (assertion_value e)) 0 (authored p) in
           Hashtbl.remove in_progress p;
           Hashtbl.replace memo p v;
           v
         end
-  and assertion_value (a : Assertion.t) =
+  and assertion_value e =
+    let a = assertion e in
     let env name =
       match List.assoc_opt name a.Assertion.local_constants with
       | Some v -> Some v
@@ -82,7 +70,7 @@ let check ?(assume_verified = false) ~policy ~credentials q =
       in
       let v = min conditions_value licensees_value in
       if v > 0 then
-        note "assertion %s (authorizer %s) contributes %S" (Assertion.fingerprint a)
+        note "assertion %s (authorizer %s) contributes %S" (fingerprint e)
           (short_principal a.Assertion.authorizer)
           (List.nth q.values v);
       v
@@ -103,3 +91,27 @@ let check ?(assume_verified = false) ~policy ~credentials q =
   in
   let level = principal_value "POLICY" in
   { level; value = List.nth q.values level; trace = List.rev !trace }
+
+let check ?(assume_verified = false) ~policy ~credentials q =
+  let discarded = ref [] in
+  (* A throwaway index of verified assertions by (normalized) authorizer. *)
+  let by_authorizer : (string, Assertion.t list) Hashtbl.t = Hashtbl.create 16 in
+  let add_assertion key a =
+    let key = Ast.normalize_principal key in
+    Hashtbl.replace by_authorizer key (a :: (try Hashtbl.find by_authorizer key with Not_found -> []))
+  in
+  List.iter (fun a -> add_assertion "POLICY" { a with Assertion.authorizer = "POLICY" }) policy;
+  List.iter
+    (fun a ->
+      if assume_verified || Assertion.verify a then add_assertion a.Assertion.authorizer a
+      else
+        discarded :=
+          Printf.sprintf "discarded credential %s: bad or missing signature" (Assertion.fingerprint a)
+          :: !discarded)
+    credentials;
+  let r =
+    evaluate
+      ~authored:(fun p -> try Hashtbl.find by_authorizer p with Not_found -> [])
+      ~assertion:Fun.id ~fingerprint:Assertion.fingerprint q
+  in
+  { r with trace = List.rev_append !discarded r.trace }

@@ -11,7 +11,11 @@
     the principals it names ([&&] is min, [||] is max, [k-of] is the
     k-th largest). Requesting principals evaluate to [_MAX_TRUST].
     Cycles evaluate to [_MIN_TRUST]; memoisation keeps the walk
-    linear in the number of assertions. *)
+    linear in the number of assertions.
+
+    One evaluator ({!evaluate}) sits behind two entry points:
+    {!check}, over plain lists, and {!Session.query}, over a
+    session's persistent indexes. *)
 
 type query = {
   requesters : Ast.principal list; (** who signed the request *)
@@ -25,11 +29,27 @@ type result = {
   trace : string list; (** human-readable authorization path, for audit logs *)
 }
 
+val evaluate :
+  authored:(Ast.principal -> 'a list) ->
+  assertion:('a -> Assertion.t) ->
+  fingerprint:('a -> string) ->
+  query ->
+  result
+(** The evaluator. [authored p] lists the assertions whose normalised
+    authorizer is [p] (["POLICY"] for local policy), in the order
+    they are tried; [assertion] and [fingerprint] read an element.
+    Only assertions that contribute a non-zero value reach the trace,
+    so a caller may leave out any assertion whose licensees cannot
+    reach a requester: such an assertion scores 0 (a [k-of] needs
+    [k >= 1]). Raises [Invalid_argument] if [values] is empty. *)
+
 val check :
   ?assume_verified:bool -> policy:Assertion.t list -> credentials:Assertion.t list -> query -> result
 (** Credentials that fail signature verification are ignored (with a
     note in [trace]). [assume_verified] skips the per-query signature
     re-check for credential sets that were verified on admission (the
     DisCFS session does this, matching the prototype: DSA checks
-    happen once at submission time, not per NFS operation). Raises
-    [Invalid_argument] if [values] is empty. *)
+    happen once at submission time, not per NFS operation). Builds a
+    throwaway authorizer index and prunes nothing: the oracle for the
+    indexed {!Session.query}. Raises [Invalid_argument] if [values]
+    is empty. *)

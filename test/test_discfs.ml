@@ -227,6 +227,47 @@ let test_key_revocation () =
   expect_nfs_error Proto.nfserr_acces (fun () ->
       ignore (Nfs.Client.read (Client.nfs bob) file_fh ~off:0 ~count:6))
 
+let test_key_revocation_drops_exactly_its_credentials () =
+  let d, admin_client, file_fh = setup () in
+  let session = Server.session d.Deploy.server in
+  let submit c a =
+    match Client.submit_credential c a with Ok _ -> () | Error e -> Alcotest.fail e
+  in
+  let bob_key = Deploy.new_identity d in
+  let bob = Deploy.attach d ~identity:bob_key ~uid:100 () in
+  submit bob
+    (Deploy.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "RW") ());
+  let others =
+    List.init 3 (fun i -> Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:(200 + i) ())
+  in
+  (* Bob authors one delegation to each of three principals; the
+     admin licenses two of them directly as well. *)
+  List.iter
+    (fun o ->
+      submit o
+        (Assertion.issue ~key:bob_key ~drbg:d.Deploy.drbg ~licensees:(quoted o)
+           ~conditions:(handle_conditions file_fh "R") ()))
+    others;
+  List.iter
+    (fun o ->
+      submit o
+        (Deploy.admin_issue d ~licensees:(quoted o) ~conditions:(handle_conditions file_fh "X") ()))
+    (List.tl others);
+  let before = Keynote.Session.credentials session in
+  let by_bob a = Keynote.Ast.principal_equal a.Assertion.authorizer (Client.principal bob) in
+  let k = List.length (List.filter by_bob before) in
+  Alcotest.(check int) "bob authored three" 3 k;
+  (match Client.revoke_key admin_client ~principal:(Client.principal bob) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let after = Keynote.Session.credentials session in
+  let fps l = List.map Assertion.fingerprint l in
+  Alcotest.(check int) "n - k remain" (List.length before - k) (List.length after);
+  Alcotest.(check int) "count agrees" (List.length after) (Keynote.Session.count session);
+  Alcotest.(check (list string)) "the rest, in admission order"
+    (fps (List.filter (fun a -> not (by_bob a)) before))
+    (fps after)
+
 let test_cross_user_isolation () =
   let d, _, file_fh = setup () in
   let bob = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:100 () in
@@ -450,6 +491,8 @@ let suite =
     Alcotest.test_case "delegating a created file" `Quick test_delegation_of_created_file;
     Alcotest.test_case "credential revocation" `Quick test_revocation;
     Alcotest.test_case "key revocation" `Quick test_key_revocation;
+    Alcotest.test_case "key revocation drops exactly its credentials" `Quick
+      test_key_revocation_drops_exactly_its_credentials;
     Alcotest.test_case "credentials are not bearer tokens" `Quick test_cross_user_isolation;
     Alcotest.test_case "time-of-day policy" `Quick test_time_of_day_policy;
     Alcotest.test_case "policy cache" `Quick test_policy_cache_behaviour;

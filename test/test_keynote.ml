@@ -573,6 +573,144 @@ let prop_chain_value_is_min =
       in
       r.Compliance.level = min v1 v2)
 
+(* --- Indexed session vs the list oracle ------------------------------ *)
+
+(* Random credential stores over five keys (index 0 is the
+   administrator the policy trusts): each credential names an
+   authorizer, a licensee structure and one of a few condition
+   programs, so the stores hold delegation cycles, [&&]/[||]/[k-of]
+   licensees and HANDLE- and hour-scoped grants. *)
+type lic = L of int | Both of lic * lic | Either of lic * lic | Kof of int * lic list
+
+type spec = { auth : int; lic : lic; cond : int }
+type op = Add of int | Remove of int
+type store_case = { specs : spec list; ops : op list; who : int list; handle : int; hour : int }
+
+let oracle_conditions =
+  [|
+    "app_domain == \"DisCFS\" -> \"RW\";";
+    "HANDLE == \"1\" -> \"R\";";
+    "HANDLE == \"2\" -> \"RWX\";";
+    "(hour >= 9) && (hour < 17) -> \"WX\";";
+    "(HANDLE == \"1\") && (hour < 12) -> \"X\";";
+    "true;";
+  |]
+
+let oracle_keys =
+  lazy
+    (let admin, bob, alice, carol = Lazy.force identities in
+     [| admin; bob; alice; carol; Dsa.generate_key (Drbg.create ~seed:"keynote-test-dave") |])
+
+let rec render_lic keys = function
+  | L i -> quoted keys.(i)
+  | Both (a, b) -> Printf.sprintf "(%s && %s)" (render_lic keys a) (render_lic keys b)
+  | Either (a, b) -> Printf.sprintf "(%s || %s)" (render_lic keys a) (render_lic keys b)
+  | Kof (k, l) -> Printf.sprintf "%d-of(%s)" k (String.concat ", " (List.map (render_lic keys) l))
+
+let rec show_lic = function
+  | L i -> string_of_int i
+  | Both (a, b) -> Printf.sprintf "(%s&&%s)" (show_lic a) (show_lic b)
+  | Either (a, b) -> Printf.sprintf "(%s||%s)" (show_lic a) (show_lic b)
+  | Kof (k, l) -> Printf.sprintf "%d-of(%s)" k (String.concat "," (List.map show_lic l))
+
+let show_case c =
+  Printf.sprintf "specs=[%s] ops=[%s] who=[%s] handle=%d hour=%d"
+    (String.concat "; "
+       (List.map (fun s -> Printf.sprintf "%d->%s c%d" s.auth (show_lic s.lic) s.cond) c.specs))
+    (String.concat " "
+       (List.map (function Add i -> "+" ^ string_of_int i | Remove i -> "-" ^ string_of_int i) c.ops))
+    (String.concat "," (List.map string_of_int c.who))
+    c.handle c.hour
+
+let gen_store_case =
+  let open QCheck.Gen in
+  let key = int_bound 4 in
+  let lic =
+    sized_size (int_bound 2)
+    @@ fix (fun self n ->
+           if n = 0 then map (fun i -> L i) key
+           else
+             frequency
+               [
+                 (3, map (fun i -> L i) key);
+                 (1, map2 (fun a b -> Both (a, b)) (self (n - 1)) (self (n - 1)));
+                 (1, map2 (fun a b -> Either (a, b)) (self (n - 1)) (self (n - 1)));
+                 ( 1,
+                   list_size (int_range 1 3) (self (n - 1)) >>= fun l ->
+                   map (fun k -> Kof (k, l)) (int_range 1 (List.length l + 1)) );
+               ])
+  in
+  let spec =
+    map3 (fun auth lic cond -> { auth; lic; cond }) key lic
+      (int_bound (Array.length oracle_conditions - 1))
+  in
+  list_size (int_range 1 8) spec >>= fun specs ->
+  let n = List.length specs in
+  let op = frequency [ (4, map (fun i -> Add i) (int_bound (n - 1))); (1, map (fun i -> Remove i) (int_bound (n - 1))) ] in
+  map4
+    (fun ops who handle hour -> { specs; ops; who; handle; hour })
+    (list_size (int_range n (2 * n)) op)
+    (list_size (int_range 1 2) key)
+    (int_range 1 2)
+    (oneofl [ 8; 10; 14 ])
+
+let prop_session_matches_check =
+  QCheck.Test.make ~name:"indexed Session.query = Compliance.check" ~count:200
+    (QCheck.make ~print:show_case gen_store_case)
+    (fun c ->
+      let keys = Lazy.force oracle_keys in
+      let d = Drbg.create ~seed:(show_case c) in
+      let creds =
+        Array.of_list
+          (List.map
+             (fun s ->
+               Assertion.issue ~key:keys.(s.auth) ~drbg:d ~licensees:(render_lic keys s.lic)
+                 ~conditions:oracle_conditions.(s.cond) ())
+             c.specs)
+      in
+      let policy =
+        [
+          Assertion.policy ~licensees:(quoted keys.(0)) ~conditions:"app_domain == \"DisCFS\";" ();
+          Assertion.policy
+            ~licensees:(Printf.sprintf "2-of(%s, %s, %s)" (quoted keys.(1)) (quoted keys.(2)) (quoted keys.(3)))
+            ~conditions:"HANDLE == \"1\" -> \"R\";" ();
+        ]
+      in
+      let session = Session.create ~values:octal_values ~policy () in
+      (* The list model the oracle reads: admission order, dedup by
+         fingerprint, removal by fingerprint. *)
+      let model = ref [] in
+      List.iter
+        (function
+          | Add i ->
+            let a = creds.(i) in
+            (match Session.add_credential session a with Ok () -> () | Error e -> failwith e);
+            let fp = Assertion.fingerprint a in
+            if not (List.exists (fun b -> Assertion.fingerprint b = fp) !model) then
+              model := !model @ [ a ]
+          | Remove i ->
+            let fp = Assertion.fingerprint creds.(i) in
+            let present = List.exists (fun b -> Assertion.fingerprint b = fp) !model in
+            if Session.remove_credential session ~fingerprint:fp <> present then
+              failwith "remove_credential disagrees with the model";
+            model := List.filter (fun b -> Assertion.fingerprint b <> fp) !model)
+        c.ops;
+      let fps l = List.map Assertion.fingerprint l in
+      if fps (Session.credentials session) <> fps !model then failwith "store order differs";
+      if Session.count session <> List.length !model then failwith "count differs";
+      let requesters = List.map (fun i -> key_str keys.(i)) c.who in
+      let attributes =
+        [ ("app_domain", "DisCFS"); ("HANDLE", string_of_int c.handle); ("hour", string_of_int c.hour) ]
+      in
+      let got = Session.query session ~requesters ~attributes in
+      let want =
+        Compliance.check ~policy ~credentials:!model
+          { Compliance.requesters; attributes; values = octal_values }
+      in
+      got.Compliance.level = want.Compliance.level
+      && got.Compliance.value = want.Compliance.value
+      && got.Compliance.trace = want.Compliance.trace)
+
 let suite =
   [
     Alcotest.test_case "numeric operators" `Quick test_numeric_ops;
@@ -603,4 +741,5 @@ let suite =
     Alcotest.test_case "empty licensees" `Quick test_empty_licensees_grants_nothing;
     Alcotest.test_case "persistent session" `Quick test_session;
     QCheck_alcotest.to_alcotest prop_chain_value_is_min;
+    QCheck_alcotest.to_alcotest prop_session_matches_check;
   ]

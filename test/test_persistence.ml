@@ -147,6 +147,59 @@ let test_server_state_corruption () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "corrupt state accepted")
 
+(* Interleaved submissions, duplicate submissions, credential and key
+   revocations: the saved state reloads into a fresh server and saves
+   back to the same bytes. *)
+let test_state_roundtrip_after_churn () =
+  let d = Deploy.make ~seed:"churn" () in
+  let admin = Deploy.attach d ~identity:d.Deploy.admin ~uid:0 () in
+  let root = Client.root admin in
+  let fh, _, _ = Client.create admin ~dir:root "a.txt" () in
+  let attach uid =
+    let key = Deploy.new_identity d in
+    (key, Deploy.attach d ~identity:key ~uid ())
+  in
+  let _, bob = attach 100 in
+  let carol_key, carol = attach 200 in
+  let _, dave = attach 300 in
+  let quoted c = Printf.sprintf "\"%s\"" (Client.principal c) in
+  let conditions v =
+    Printf.sprintf "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"%s\";" fh.Proto.ino v
+  in
+  let submit c a =
+    match Client.submit_credential c a with Ok _ -> () | Error e -> Alcotest.fail e
+  in
+  let ok = function Ok () -> () | Error e -> Alcotest.fail e in
+  let grant c v = Deploy.admin_issue d ~licensees:(quoted c) ~conditions:(conditions v) () in
+  let c1 = grant bob "R" and c2 = grant bob "RW" and c3 = grant carol "RWX" in
+  submit bob c1;
+  submit bob c2;
+  submit bob c1;
+  ok (Client.revoke_credential admin ~fingerprint:(Keynote.Assertion.fingerprint c2));
+  submit carol c3;
+  submit dave
+    (Keynote.Assertion.issue ~key:carol_key ~drbg:d.Deploy.drbg ~licensees:(quoted dave)
+       ~conditions:(conditions "R") ());
+  submit bob c2;
+  ignore (Nfs.Client.read (Client.nfs bob) fh ~off:0 ~count:4);
+  ok (Client.revoke_key admin ~principal:(Client.principal carol));
+  ignore (Client.create admin ~dir:root "b.txt" ());
+  submit carol c3;
+  let saved = Server.save_state d.Deploy.server in
+  let fresh seed =
+    Server.create ~fs:(Ffs.Fs.create ~dev:(make_dev ()) ~ninodes:64)
+      ~admin:d.Deploy.admin.Dcrypto.Dsa.pub ~server_key:(Server.server_key d.Deploy.server)
+      ~drbg:(Dcrypto.Drbg.create ~seed) ()
+  in
+  let restored = fresh "churn-day2" in
+  (match Server.load_state restored saved with
+  | Ok n ->
+    Alcotest.(check int) "every saved credential admitted"
+      (Keynote.Session.count (Server.session d.Deploy.server)) n
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check string) "save -> load -> save is byte-identical" saved
+    (Server.save_state restored)
+
 let prop_image_roundtrip =
   QCheck.Test.make ~name:"image roundtrip preserves random trees" ~count:15
     (QCheck.make QCheck.Gen.(list_size (int_range 1 20) (pair (int_bound 4) small_string)))
@@ -190,5 +243,6 @@ let suite =
     Alcotest.test_case "fs image error handling" `Quick test_fs_image_errors;
     Alcotest.test_case "server restart keeps credentials" `Quick test_server_restart;
     Alcotest.test_case "corrupt server state rejected" `Quick test_server_state_corruption;
+    Alcotest.test_case "state round trip after churn" `Quick test_state_roundtrip_after_churn;
     QCheck_alcotest.to_alcotest prop_image_roundtrip;
   ]
